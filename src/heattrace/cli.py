@@ -8,8 +8,10 @@ Three subcommands cover the package's workflows:
 
 A single JSON config file describes the run (see the schema in the README);
 ``--out`` and ``--format`` override its output section, ``--threads`` bounds
-the cell-level parallelism.  Outputs are canonical: two runs with the same
-config produce byte-identical files regardless of thread count.
+the cell-level parallelism (default 1: the cells are Python code, and more
+threads only contend for the interpreter lock).  Outputs are canonical: two
+runs with the same config produce byte-identical files regardless of thread
+count.
 
 Exit codes: 0 when everything converged and every identity passed, 2 for
 configuration problems (bad JSON, unknown keys, invalid values), 3 when the
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -287,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
         s = sub.add_parser(name, help=doc)
         s.add_argument("--config", required=True,
                        help="path to the JSON run configuration")
-        s.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="cell-level worker threads (default: all cores)")
+        s.add_argument("--threads", type=int, default=1,
+                       help="cell-level worker threads (default: 1)")
         s.add_argument("--out", default=None,
                        help="output file (overrides output.path; '-' = stdout)")
         s.add_argument("--format", choices=("json", "csv"), default=None,

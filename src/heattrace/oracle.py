@@ -24,14 +24,16 @@ import numpy as np
 
 from .coefficients import CoefficientTable
 from .potentials import Potential, eval as peval, integrate_power, max_abs, support
-from .quadrature import Axis, QuadratureSpec, integrate_1d, integrate_nd
+from .quadrature import (Axis, QuadratureSpec, integrate_1d, integrate_1d_batch,
+                         integrate_nd)
 from .specfun import bessel_k0, gamma_half
 
 SQRT2 = math.sqrt(2.0)
 
 #: Largest Neumann order the quadrature oracle evaluates.  The reduced
-#: integral for order n has 2n+2 axes and the tensor quadrature is capped
-#: at dimension 6.
+#: integral for order n is n nested adaptive 1-D passes over the gap
+#: variables with a 1-D autocorrelation integral at every innermost node, so
+#: each further order nests one more pass and multiplies the cost.
 ORACLE_MAX_ORDER = 2
 
 # exp(-a*cosh t) integrates to less than 1e-43 for a >= 100; treat as zero.
@@ -164,22 +166,33 @@ def _profile_transform(omega, spec, state):
 
 
 def _autocorrelation(p, shifts, spec, state):
-    """int prod_j rho(y - shifts[j]) dy over the common support window."""
+    """int prod_j rho(y - row[j]) dy over the common support window, per row.
+
+    ``shifts`` is a sequence of shift rows of one length; the integrals run as
+    one batch and come back as (value, error) pairs in row order.
+    """
     lo, hi = support(p)
-    a = lo + max(shifts)
-    b = hi + min(shifts)
-    if b <= a:
-        return 0.0, 0.0
-    col = np.asarray(shifts, dtype=float)[:, None]
+    out = [(0.0, 0.0)] * len(shifts)
+    live, axes = [], []
+    for i, row in enumerate(shifts):
+        a = lo + max(row)
+        b = hi + min(row)
+        if b <= a:
+            continue
+        # each factor's support edge is a shoulder of the product; telling the
+        # panel splitter up front saves it rediscovering them by refinement
+        knots = tuple(sorted({e for s in row for e in (lo + s, hi + s)
+                              if a < e < b}))
+        live.append(i)
+        axes.append(Axis.finite(a, b, knots=knots))
+    cols = np.asarray([shifts[i] for i in live], dtype=float).T
 
-    def f(y):
-        return peval(p, np.asarray(y)[None, :] - col).prod(axis=0)
+    def f(y, which):
+        return peval(p, y[None, :] - cols[:, which]).prod(axis=0)
 
-    # each factor's support edge is a shoulder of the product; telling the
-    # panel splitter up front saves it rediscovering them by refinement
-    knots = tuple(sorted({e for s in shifts for e in (lo + s, hi + s)
-                          if a < e < b}))
-    return state.absorb(integrate_1d(f, Axis.finite(a, b, knots=knots), spec))
+    for i, r in zip(live, integrate_1d_batch(f, axes, spec)):
+        out[i] = state.absorb(r)
+    return out
 
 
 def _validate_trace_args(n, ktilde):
@@ -228,7 +241,7 @@ def trace_term(p, n, ktilde, spec=None, method="reduced_integral", k_min_gate=No
 
     if n == 0:
         xv, xe = _profile_transform(0.0, inner, state)
-        pv, pe = _autocorrelation(p, (0.0,), inner, state)
+        (pv, pe), = _autocorrelation(p, [(0.0,)], inner, state)
         raw_value = xv * pv
         raw_err = xe * abs(pv) + abs(xv) * pe
         outer_conv = True
@@ -245,24 +258,24 @@ def trace_term(p, n, ktilde, spec=None, method="reduced_integral", k_min_gate=No
         if n == 1:
             factor_spec = inner
 
-            def gxp(d_total):
-                g, g_err = _cosh_kernel_integral(sk * abs(d_total), state)
-                if abs(g) * 2.0 * p_bound < 1e-16:
-                    return 0.0
-                pv, pe = _autocorrelation(p, (0.0, d_total), factor_spec, state)
-                if pv == 0.0 and pe == 0.0:
-                    return 0.0
-                xv, xe = _profile_transform(sk * d_total, factor_spec, state)
-                err = (g_err * abs(xv * pv) + abs(g) * xe * abs(pv)
-                       + abs(g * xv) * pe)
-                state.record(err)
-                return g * xv * pv
-
             def f(d):
                 d = np.atleast_1d(d)
-                out = np.empty(d.shape)
+                out = np.zeros(d.shape)
+                live = []
                 for i, di in enumerate(d):
-                    out[i] = gxp(di)
+                    g, g_err = _cosh_kernel_integral(sk * abs(di), state)
+                    if abs(g) * 2.0 * p_bound < 1e-16:
+                        continue
+                    live.append((i, g, g_err))
+                acs = _autocorrelation(p, [(0.0, d[i]) for i, _, _ in live],
+                                       factor_spec, state)
+                for (i, g, g_err), (pv, pe) in zip(live, acs):
+                    if pv == 0.0 and pe == 0.0:
+                        continue
+                    xv, xe = _profile_transform(sk * d[i], factor_spec, state)
+                    state.record(g_err * abs(xv * pv) + abs(g) * xe * abs(pv)
+                                 + abs(g * xv) * pe)
+                    out[i] = g * xv * pv
                 return out
 
             outer = integrate_1d(f, Axis.finite(-width, width, knots=(0.0,)), spec)
@@ -276,19 +289,6 @@ def trace_term(p, n, ktilde, spec=None, method="reduced_integral", k_min_gate=No
             # second kink moves with w.
             factor_spec = inner.tightened()
 
-            def gp(w, d0):
-                v0, e0 = _cosh_kernel_integral(sk * abs(d0), state)
-                v1, e1 = _cosh_kernel_integral(sk * abs(w - d0), state)
-                g = v0 * v1
-                if abs(g) * 2.0 * p_bound < 1e-16:
-                    return 0.0
-                pv, pe = _autocorrelation(p, (0.0, d0, w), factor_spec, state)
-                if pv == 0.0 and pe == 0.0:
-                    return 0.0
-                g_err = e0 * abs(v1) + abs(v0) * e1
-                state.record(g_err * abs(pv) + abs(g) * pe)
-                return g * pv
-
             def inner_value(w):
                 a = max(-width, w - width)
                 b = min(width, w + width)
@@ -299,9 +299,22 @@ def trace_term(p, n, ktilde, spec=None, method="reduced_integral", k_min_gate=No
 
                 def fi(d0):
                     d0 = np.atleast_1d(d0)
-                    out = np.empty(d0.shape)
+                    out = np.zeros(d0.shape)
+                    live = []
                     for j, dj in enumerate(d0):
-                        out[j] = gp(w, dj)
+                        v0, e0 = _cosh_kernel_integral(sk * abs(dj), state)
+                        v1, e1 = _cosh_kernel_integral(sk * abs(w - dj), state)
+                        g = v0 * v1
+                        if abs(g) * 2.0 * p_bound < 1e-16:
+                            continue
+                        live.append((j, g, e0 * abs(v1) + abs(v0) * e1))
+                    acs = _autocorrelation(p, [(0.0, d0[j], w) for j, _, _ in live],
+                                           factor_spec, state)
+                    for (j, g, g_err), (pv, pe) in zip(live, acs):
+                        if pv == 0.0 and pe == 0.0:
+                            continue
+                        state.record(g_err * abs(pv) + abs(g) * pe)
+                        out[j] = g * pv
                     return out
 
                 r = integrate_1d(fi, Axis.finite(a, b, knots=knots), inner)

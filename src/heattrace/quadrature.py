@@ -11,7 +11,11 @@ Unbounded axes are compactified first:
 so every panel is finite and the open node set never touches an endpoint.
 Adaptive refinement always bisects the current worst panel; the final value
 is the sum over panels in ascending position order, which makes results
-bit-reproducible for a fixed integrand.
+bit-reproducible for a fixed integrand.  ``integrate_1d_batch`` runs many
+independent integrals through the same loop in lockstep, in the style of the
+vectorized interfaces of ``scipy.integrate.quad_vec`` and S. G. Johnson's
+``cubature``: each round's panels of every integral share one integrand
+call, while each integral keeps QUADPACK's per-integral adaptive rule.
 """
 
 from __future__ import annotations
@@ -179,11 +183,13 @@ class IntegralResult:
     converged: bool
 
 
-def _panel(fu, lo: float, hi: float):
-    """Apply (G7, K15) on one u-panel; fu returns (values, aux_error_density)."""
-    c = 0.5 * (hi + lo)
+def _panel(y, aux, lo: float, hi: float):
+    """Apply (G7, K15) to the 15 integrand values y on the u-panel (lo, hi).
+
+    ``aux`` is the inner-error density of an iterated integrand at the same
+    nodes, or None for a plain one.
+    """
     h = 0.5 * (hi - lo)
-    y, aux = fu(c + h * _NODES)
     resk = h * np.dot(_WKRON, y)
     resg = h * np.dot(_WGAUSS, y)
     resabs = h * np.dot(_WKRON, np.abs(y))
@@ -192,51 +198,116 @@ def _panel(fu, lo: float, hi: float):
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     err = max(err, 50.0 * _EPS * resabs)
-    err += h * np.dot(_WKRON, aux)           # inner errors of an iterated integrand
+    if aux is not None:
+        err += h * np.dot(_WKRON, aux)       # inner errors of an iterated integrand
     return resk, err
 
 
-def _adaptive(fu, breaks: list[float], spec: QuadratureSpec) -> IntegralResult:
-    """Worst-panel-first bisection over initial panels given by ``breaks``."""
-    panels = []                              # (lo, hi, value, error)
-    evals = 0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        val, err = _panel(fu, lo, hi)
-        panels.append((lo, hi, val, err))
-        evals += 15
+def _panels(fu, pending):
+    """Evaluate every pending (integral, lo, hi) panel with one call of fu.
 
-    splits = 0
-    stuck: set[tuple[float, float]] = set()  # panels at float-spacing width
-    converged = False
-    while True:
-        total = sum(p[2] for p in panels)
-        toterr = sum(p[3] for p in panels)
-        if toterr <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            converged = True
-            break
-        if splits >= spec.max_subdivisions:
-            break
-        splittable = [i for i in range(len(panels))
-                      if (panels[i][0], panels[i][1]) not in stuck]
-        if not splittable:
-            break
-        worst = max(splittable, key=lambda i: (panels[i][3], -panels[i][0]))
-        lo, hi, val, err = panels[worst]
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            stuck.add((lo, hi))
-            continue
-        panels.pop(worst)
-        for a, b in ((lo, mid), (mid, hi)):
-            v, e = _panel(fu, a, b)
-            panels.append((a, b, v, e))
-            evals += 15
-        splits += 1
+    fu(u, which) gets the stacked nodes of all panels, panel by panel, and
+    the index of the integral each node belongs to.  The rule is then applied
+    row by row: one matrix product over all rows would sum in another order
+    and move the last bit of the results.
+    """
+    u = np.concatenate([0.5 * (hi + lo) + 0.5 * (hi - lo) * _NODES
+                        for _, lo, hi in pending])
+    y, aux = fu(u, np.array([i for i, _, _ in pending]).repeat(len(_NODES)))
+    y = y.reshape(len(pending), len(_NODES))
+    if aux is not None:
+        aux = aux.reshape(y.shape)
+    return [_panel(y[r], None if aux is None else aux[r], a, b)
+            for r, (_, a, b) in enumerate(pending)]
 
-    panels.sort(key=lambda p: p[0])
-    value = sum(p[2] for p in panels)
-    value = complex(value) if np.iscomplexobj(value) else float(value)
-    return IntegralResult(value, float(sum(p[3] for p in panels)), evals, converged)
+
+def _adaptive(fu, breaks: list[list[float]], spec: QuadratureSpec) -> list[IntegralResult]:
+    """Worst-panel-first bisection of independent integrals run in lockstep.
+
+    Integral i starts from the panels between consecutive ``breaks[i]`` and
+    keeps its own panel list, stuck set, split count and convergence test;
+    each round bisects the worst panel of every integral still running, and
+    all new panels of the round go through one call of fu (see _panels).  An
+    integral's result does not depend on the other integrals of the batch.
+    """
+    count = len(breaks)
+    panels = [[] for _ in range(count)]      # (lo, hi, value, error)
+    splits = [0] * count
+    stuck = [set() for _ in range(count)]    # panels at float-spacing width
+    converged = [False] * count
+    pending = [(i, lo, hi) for i, b in enumerate(breaks)
+               for lo, hi in zip(b[:-1], b[1:])]
+    while pending:
+        for (i, lo, hi), (val, err) in zip(pending, _panels(fu, pending)):
+            panels[i].append((lo, hi, val, err))
+        running = dict.fromkeys(i for i, _, _ in pending)
+        pending = []
+        for i in running:
+            ps = panels[i]
+            while True:
+                total = sum(p[2] for p in ps)
+                toterr = sum(p[3] for p in ps)
+                if toterr <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+                    converged[i] = True
+                    break
+                if splits[i] >= spec.max_subdivisions:
+                    break
+                splittable = range(len(ps))
+                if stuck[i]:
+                    splittable = [k for k in splittable
+                                  if (ps[k][0], ps[k][1]) not in stuck[i]]
+                if not splittable:
+                    break
+                worst = max(splittable, key=lambda k: (ps[k][3], -ps[k][0]))
+                lo, hi = ps[worst][:2]
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    stuck[i].add((lo, hi))
+                    continue
+                ps.pop(worst)
+                pending += [(i, lo, mid), (i, mid, hi)]
+                splits[i] += 1
+                break
+
+    results = []
+    for ps, n_splits, ok in zip(panels, splits, converged):
+        ps.sort(key=lambda p: p[0])
+        value = sum(p[2] for p in ps)
+        value = complex(value) if np.iscomplexobj(value) else float(value)
+        # a split replaces one evaluated panel by two: the panels evaluated are
+        # those left plus one per split
+        results.append(IntegralResult(value, float(sum(p[3] for p in ps)),
+                                      len(_NODES) * (len(ps) + n_splits), ok))
+    return results
+
+
+def integrate_1d_batch(f, axes: list[Axis],
+                       spec: QuadratureSpec | None = None) -> list[IntegralResult]:
+    """Integrate f over each of ``axes``, all integrals in lockstep.
+
+    f(x, which) gets a 1-D ndarray of nodes and, node by node, the index into
+    ``axes`` of the integral it belongs to; it returns the integrand values.
+    When f's value at a node depends on that node and its integral only, each
+    result equals, bit for bit, the integrate_1d result of that integral alone
+    (its f being f(x, i)): the batch only stacks the integrand calls.  Complex
+    values from f make every result of the batch complex.
+    """
+    spec = spec or QuadratureSpec()
+    # the map depends on the axis kind only: one representative per kind
+    kinds = {a.kind: a for a in axes}
+
+    def fu(u, which):
+        if len(kinds) == 1:
+            x, jac = axes[0]._map(u)
+        else:
+            x, jac = np.empty_like(u), np.empty_like(u)
+            node_kinds = np.array([a.kind for a in axes])[which]
+            for kind, axis in kinds.items():
+                m = node_kinds == kind
+                x[m], jac[m] = axis._map(u[m])
+        return np.asarray(f(x, which)) * jac, None
+
+    return _adaptive(fu, [a._initial_breaks() for a in axes], spec)
 
 
 def integrate_1d(f, axis: Axis, spec: QuadratureSpec | None = None) -> IntegralResult:
@@ -245,13 +316,7 @@ def integrate_1d(f, axis: Axis, spec: QuadratureSpec | None = None) -> IntegralR
     Real or complex integrands; the result value matches the integrand dtype.
     Budget exhaustion is reported through converged=False, never an exception.
     """
-    spec = spec or QuadratureSpec()
-
-    def fu(u):
-        x, jac = axis._map(u)
-        return np.asarray(f(x)) * jac, np.zeros_like(u)
-
-    return _adaptive(fu, axis._initial_breaks(), spec)
+    return integrate_1d_batch(lambda x, which: f(x), [axis], spec)[0]
 
 
 def integrate_nd(f, axes: list[Axis], spec: QuadratureSpec | None = None) -> IntegralResult:
@@ -272,7 +337,7 @@ def integrate_nd(f, axes: list[Axis], spec: QuadratureSpec | None = None) -> Int
     inner_spec = spec.tightened()
     state = {"evals": 0, "ok": True}
 
-    def fu(u):
+    def fu(u, which):
         x, jac = outer._map(u)
         vals = np.empty(len(x), dtype=complex)
         aux = np.empty(len(x))
@@ -286,7 +351,7 @@ def integrate_nd(f, axes: list[Axis], spec: QuadratureSpec | None = None) -> Int
             vals = vals.real
         return vals * jac, aux * np.abs(jac)
 
-    res = _adaptive(fu, outer._initial_breaks(), spec)
+    res, = _adaptive(fu, [outer._initial_breaks()], spec)
     return IntegralResult(res.value, res.est_error,
                           res.evaluations + state["evals"],
                           res.converged and state["ok"])

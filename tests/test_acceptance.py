@@ -43,8 +43,8 @@ FIVE_POTENTIALS = [
 B1_WEIGHT = SQRT2 / 64.0
 B1_WEIGHT_DOUBLED = SQRT2 / 32.0
 
-#: budget for the 6-dimensional trace term: its role as a remainder probe
-#: needs ~3 digits, not the default 6
+#: budget for the second-order trace term (nested 1-D passes): its role as a
+#: remainder probe needs ~3 digits, not the default 6
 RELAXED = QuadratureSpec(rel_tol=1e-3, abs_tol=2e-5)
 
 XFAIL_DOUBLED = dict(
@@ -242,11 +242,11 @@ def remainder_grid():
 
     The three terms get individual budgets: the cheap low orders run at
     defaults tight enough that their quadrature error sits two orders below
-    the remainder signal, while the 6-dimensional term runs relaxed (its
+    the remainder signal, while the second-order term runs relaxed (its
     share of the remainder only needs three digits).
     """
     t_start = time.perf_counter()
-    table = compute_table(CANON, 1)
+    table = compute_table(CANON, 2)
     rows = {}
     for kt in K_GRID:
         t0 = trace_term(CANON, 0, kt)
@@ -254,10 +254,14 @@ def remainder_grid():
         t2 = trace_term(CANON, 2, kt, spec=RELAXED)
         assert t0.converged and t1.converged and t2.converged, kt
         resolvent = -t0.value + t1.value - t2.value
-        asym = asymptotic_trace(table, kt, 1)
-        rows[kt] = {"t1": t1, "scaled_remainder": abs(resolvent - asym) * kt ** 4}
-        print(f"\n[acceptance]   k={kt:g}: |trace - partial sum| * k^4 = "
-              f"{rows[kt]['scaled_remainder']:.6f} "
+        rows[kt] = {
+            "t1": t1,
+            "scaled_remainder": abs(resolvent - asymptotic_trace(table, kt, 1)) * kt ** 4,
+            "scaled_remainder_2": abs(resolvent - asymptotic_trace(table, kt, 2)) * kt ** 5,
+        }
+        print(f"\n[acceptance]   k={kt:g}: |trace - S_1| * k^4 = "
+              f"{rows[kt]['scaled_remainder']:.6f}, |trace - S_2| * k^5 = "
+              f"{rows[kt]['scaled_remainder_2']:.6f} "
               f"({time.perf_counter() - t_start:.0f}s elapsed)")
     rows["elapsed"] = time.perf_counter() - t_start
     return rows
@@ -272,6 +276,17 @@ def test_criterion_4_remainder_shows_no_growth(remainder_grid):
            all(r <= 1.5 for r in ratios),
            f"scaled remainders {[f'{s:.5f}' for s in scaled]}, "
            f"successive ratios {[f'{r:.3f}' for r in ratios]}, {elapsed:.0f}s")
+
+
+def test_criterion_4_second_order_remainder_shows_no_growth(remainder_grid):
+    # the first check of b_2 that does not go through the cell engine: a wrong
+    # b_2 leaves a remainder of order k^-4, which grows like k once scaled by k^5
+    scaled = [remainder_grid[k]["scaled_remainder_2"] for k in K_GRID]
+    ratios = [b / a for a, b in zip(scaled, scaled[1:])]
+    report("criterion 4 — remainder of the order-2 partial sum is O(k^-5)",
+           all(r <= 1.5 for r in ratios),
+           f"scaled remainders {[f'{s:.5f}' for s in scaled]}, "
+           f"successive ratios {[f'{r:.3f}' for r in ratios]}")
 
 
 def test_criterion_4_first_order_slope_converges(remainder_grid):

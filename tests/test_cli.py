@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from heattrace.cli import RunConfig, load_config, main, parse_config
+from heattrace.cli import RunConfig, _build_parser, load_config, main, parse_config
 from heattrace.coefficients import CoefficientTable, closed_form_b0_b1
 from heattrace.potentials import ConfigError
 
@@ -144,6 +144,12 @@ def test_bad_threads_value_exits_2(tmp_path):
     code = main(["coeffs", "--config", str(cfg), "--threads", "0",
                  "--out", str(tmp_path / "x.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["coeffs", "verify", "scan"])
+def test_threads_default_is_one(command):
+    args = _build_parser().parse_args([command, "--config", "run.json"])
+    assert args.threads == 1
 
 
 def test_determinism_across_thread_counts(tmp_path):

@@ -7,8 +7,8 @@ from scipy import integrate as spi
 from scipy.special import k0 as sp_k0, k1 as sp_k1
 
 from heattrace.coefficients import CoefficientTable, compute_table
-from heattrace.oracle import (ORACLE_MAX_ORDER, IdentityReport,
-                              asymptotic_trace, k_min, report_to_dict,
+from heattrace.oracle import (ORACLE_MAX_ORDER, IdentityReport, _autocorrelation,
+                              _FactorState, asymptotic_trace, k_min, report_to_dict,
                               reports_to_json, resolvent_trace, trace_term,
                               trace_terms_to_csv, verify_fourier_exponential,
                               verify_k0_product_identity, watson_roundtrip)
@@ -20,8 +20,9 @@ SKEW = poly_bump(center=0.2, halfwidth=0.9, amplitude=0.8, poly_coeffs=(1.0, 0.5
 
 SQRT2 = math.sqrt(2.0)
 
-# Looser budget for the 6-dimensional term: its remainder role only ever needs
-# ~3 digits, and the default budget would spend minutes chasing the rest.
+# Looser budget for the second-order term (two nested 1-D passes with an
+# autocorrelation integral at every inner node): its remainder role only ever
+# needs ~3 digits, and the default budget would spend minutes chasing the rest.
 RELAXED = QuadratureSpec(rel_tol=1e-3, abs_tol=2e-5)
 
 
@@ -140,6 +141,19 @@ def test_second_order_term_matches_scipy_reference():
     ref = scipy_second_order_term(10.0)
     assert ours.converged
     assert ours.value == pytest.approx(ref, rel=5e-3)
+
+
+def test_autocorrelation_batch_equals_rows_alone():
+    # the second row's window is empty; the others overlap by different amounts
+    rows = [(0.0, 0.3, -0.4), (0.0, 2.5, 0.0), (0.0, -1.1, 0.7), (0.0, 0.0, 0.0)]
+    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)
+    state = _FactorState()
+    batch = _autocorrelation(SKEW, rows, spec, state)
+    alone_state = _FactorState()
+    alone = [_autocorrelation(SKEW, [row], spec, alone_state)[0] for row in rows]
+    assert batch == alone
+    assert batch[1] == (0.0, 0.0)
+    assert state.evaluations == alone_state.evaluations > 0
 
 
 # --- degenerate profiles ----------------------------------------------------------

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heattrace.quadrature import Axis, IntegralResult, QuadratureSpec, integrate_1d, integrate_nd
+from heattrace.quadrature import (Axis, IntegralResult, QuadratureSpec, integrate_1d,
+                                  integrate_1d_batch, integrate_nd)
 
 TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 
@@ -58,6 +59,7 @@ def test_budget_exhaustion_reports_not_raises():
     assert isinstance(r, IntegralResult)
     assert not r.converged
     assert r.est_error > 0
+    assert r.evaluations == 15 * (1 + 2 * 3)    # the first panel and two per split
 
 
 def test_zero_integrand_converges_immediately():
@@ -133,3 +135,71 @@ def test_quadratic_any_interval(a, w):
     b = a + w
     r = integrate_1d(lambda x: x * x, Axis.finite(a, b))
     np.testing.assert_allclose(r.value, (b ** 3 - a ** 3) / 3.0, rtol=1e-12, atol=1e-12)
+
+
+# --- lockstep batches ----------------------------------------------------------------
+#
+# integrand i of a batch: a Lorentzian peak of height amp/wid^2 at ctr plus a
+# square-root kink at ctr under a Gaussian envelope; narrow peaks and kinks off
+# the knots take many bisections, wide ones converge at once
+
+
+def _peak(amp, ctr, wid, x):
+    return amp / (wid * wid + (x - ctr) ** 2) + np.sqrt(np.abs(x - ctr)) * np.exp(-x * x)
+
+
+def _batch_vs_alone(axes, params, spec):
+    amp, ctr, wid = np.array(params, dtype=float).reshape(-1, 3).T
+    batch = integrate_1d_batch(
+        lambda x, which: _peak(amp[which], ctr[which], wid[which], x), axes, spec)
+    alone = [integrate_1d(lambda x, p=p: _peak(*p, x), axis, spec)
+             for axis, p in zip(axes, params)]
+    return batch, alone
+
+
+_finite_axis = st.builds(
+    lambda a, w, ks: Axis.finite(a, a + w, knots=tuple(a + k * w for k in ks)),
+    st.floats(-3.0, 3.0), st.floats(0.1, 5.0),
+    st.lists(st.floats(0.05, 0.95), max_size=3))
+# four float spacings wide: below rel_tol 1e-14 its panels end up stuck
+_tiny_axis = st.floats(1.0, 1.5).map(lambda a: Axis.finite(a, a + 4 * np.spacing(a)))
+_axis = st.one_of(_finite_axis, _finite_axis, _tiny_axis, st.just(Axis.half_line()),
+                  st.just(Axis.full_line(knots=(0.0,))))
+_params = st.tuples(st.floats(0.1, 10.0), st.floats(-2.0, 2.0), st.floats(1e-3, 1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(items=st.lists(st.tuples(_axis, _params), max_size=5),
+       rel_tol=st.sampled_from([1e-5, 1e-10, 1e-15]),
+       max_subdivisions=st.sampled_from([2, 40, 1000]))
+def test_batch_results_equal_integrals_run_alone(items, rel_tol, max_subdivisions):
+    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-13, max_subdivisions=max_subdivisions)
+    axes = [axis for axis, _ in items]
+    batch, alone = _batch_vs_alone(axes, [p for _, p in items], spec)
+    assert batch == alone
+
+
+def test_batch_mixes_exhausted_and_converged_integrals():
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13, max_subdivisions=3)
+    axes = [Axis.finite(0.0, 1.0), Axis.finite(-2.0, 2.0, knots=(0.3,)), Axis.finite(0.0, 1.0)]
+    params = [(1.0, 5.0, 1.0), (1.0, 0.3, 1e-3), (2.0, -4.0, 1.0)]
+    batch, alone = _batch_vs_alone(axes, params, spec)
+    assert [r.converged for r in batch] == [True, False, True]
+    assert batch == alone
+
+
+def test_batch_keeps_stuck_panels_per_integral():
+    # below the rule's roundoff floor nothing converges; the tiny intervals stop
+    # once every panel is a float spacing wide, long before the split budget
+    spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=20)
+    axes = [Axis.finite(0.0, 1.0), Axis.finite(1.0, 1.0 + 4 * np.spacing(1.0)),
+            Axis.finite(1.25, 1.25 + 8 * np.spacing(1.25))]
+    params = [(1.0, 0.5, 0.1), (1.0, 0.0, 1.0), (1.0, 0.0, 1.0)]
+    batch, alone = _batch_vs_alone(axes, params, spec)
+    assert not any(r.converged for r in batch)
+    assert [r.evaluations for r in batch] == [15 * (1 + 2 * 20), 15 * 7, 15 * 15]
+    assert batch == alone
+
+
+def test_empty_batch():
+    assert integrate_1d_batch(lambda x, which: x, [], QuadratureSpec()) == []
